@@ -35,9 +35,11 @@
 #   make bench-guard    run the instrumented-hot-path benchmarks once and
 #                       fail if any reports allocs/op > 0 — the Nop tracer
 #                       fast path must stay allocation-free (PR 5 contract) —
-#                       then re-run the end-to-end attack benchmark and fail
-#                       if it regresses past the throughput floor / alloc
-#                       ceiling recorded in BENCH_hotpath.json
+#                       then re-run the end-to-end attack benchmarks and
+#                       fail if they regress past the throughput floor /
+#                       alloc ceiling recorded in BENCH_hotpath.json, or if
+#                       repair on a decayed dump costs more than the
+#                       fixed ratio (2x) over repair off
 
 GO ?= go
 

@@ -213,7 +213,7 @@ func run(o daemonOpts) error {
 		defer stopPprof()
 	}
 
-	httpSrv := &http.Server{Handler: svc.Handler()}
+	httpSrv := newHTTPServer(svc.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -246,6 +246,22 @@ func run(o daemonOpts) error {
 	return nil
 }
 
+// Timeouts every coldbootd listener (API, pprof, worker metrics) applies.
+// A client gets readHeaderTimeout to send its request line and headers,
+// so a connection that trickles them cannot hold a server goroutine
+// forever, and an idle keep-alive connection closes after idleTimeout.
+// There is no whole-request read or write timeout: dump uploads and the
+// /events stream are legitimately long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the http.Server for one coldbootd listener.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // servePprof mounts the net/http/pprof handlers on their own listener and
 // mux — deliberately not the service mux, so operators can bind profiling
 // to loopback while the API listens publicly. The returned func closes the
@@ -262,7 +278,7 @@ func servePprof(addr string) (func(), error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	log.Printf("pprof on http://%s/debug/pprof/", ln.Addr())
-	srv := &http.Server{Handler: mux}
+	srv := newHTTPServer(mux)
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("pprof server: %v", err)
@@ -286,7 +302,7 @@ func serveWorkerMetrics(addr string, col *obs.Collector) (func(), error) {
 		col.Report().WritePrometheus(w, "coldbootd_pipeline")
 	})
 	log.Printf("worker metrics on http://%s/metrics", ln.Addr())
-	srv := &http.Server{Handler: mux}
+	srv := newHTTPServer(mux)
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("metrics server: %v", err)

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"coldboot"
 	"coldboot/internal/aes"
 	"coldboot/internal/bitutil"
 	"coldboot/internal/core"
@@ -166,6 +167,33 @@ func attackRow(dump []byte) HotpathResult {
 	})
 }
 
+// decayedDump captures the simulator's default DIMM transfer (2 MiB,
+// -50 °C for 2 s, retention about 0.997, simulator seed 1): the decayed
+// dump the repair rows share.
+func decayedDump() ([]byte, error) {
+	img, _, err := coldboot.Capture(coldboot.Scenario{Seed: 1})
+	return img, err
+}
+
+// repairRows benchmarks the pipeline on the decayed dump with repair off
+// and with single-flip repair (the coldboot CLI default).
+func repairRows(dump []byte) (off, on HotpathResult) {
+	attack := func(flips int) func() {
+		return func() {
+			res, err := core.Attack(dump, core.Config{RepairFlips: flips})
+			if err != nil {
+				log.Fatal(err)
+			}
+			if len(res.Keys) == 0 {
+				log.Fatal("decayed dump: no key recovered")
+			}
+		}
+	}
+	off = row("attack_decayed_2MiB_repair0", int64(len(dump)), attack(0))
+	on = row("attack_decayed_2MiB_repair1", int64(len(dump)), attack(1))
+	return off, on
+}
+
 // writeHotpath runs the hot-path suite and writes the JSON report to path.
 func writeHotpath(path string) error {
 	fmt.Fprintf(os.Stderr, "running hot-path benchmarks (NumCPU=%d)...\n", runtime.NumCPU())
@@ -233,6 +261,12 @@ func writeHotpath(path string) error {
 	report.SpeedupWorkerPop = runtime.NumCPU()
 
 	report.Benchmarks = append(report.Benchmarks, attackRow(dump))
+	decayed, err := decayedDump()
+	if err != nil {
+		return err
+	}
+	off, on := repairRows(decayed)
+	report.Benchmarks = append(report.Benchmarks, off, on)
 
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -252,7 +286,7 @@ func writeHotpath(path string) error {
 	return nil
 }
 
-// runGuard re-runs the end-to-end attack benchmark and enforces the gate
+// runGuard re-runs the end-to-end attack benchmarks and enforces the gate
 // recorded in the committed BENCH_hotpath.json at path (falling back to the
 // built-in defaults for pre-gate reports). This is the CI tripwire for the
 // pipeline's throughput and allocation discipline: a change that quietly
@@ -293,6 +327,27 @@ func runGuard(path string) error {
 			r.Name, r.AllocsPerOp, gate.AttackDumpMaxAllocsPerOp)
 	}
 	fmt.Println("guard: attack_dump_2MiB within gate")
+
+	// Repair on a decayed dump may cost at most repairMaxRatio times repair
+	// off on the same dump. Both rows are timed in this process, so the
+	// ratio holds on a fast or a slow runner alike and needs no per-report
+	// value.
+	const repairMaxRatio = 2.0
+	fmt.Fprintf(os.Stderr, "guard: re-running the decayed-dump repair rows (repair on at most %.1fx repair off)...\n",
+		repairMaxRatio)
+	decayed, err := decayedDump()
+	if err != nil {
+		return err
+	}
+	off, on := repairRows(decayed)
+	ratio := on.NsPerOp / off.NsPerOp
+	fmt.Printf("guard: %s %14.0f ns/op, %s %14.0f ns/op, ratio %.2f\n",
+		off.Name, off.NsPerOp, on.Name, on.NsPerOp, ratio)
+	if ratio > repairMaxRatio {
+		return fmt.Errorf("guard: %s takes %.2fx %s, over the %.1fx budget (repair cost regression)",
+			on.Name, ratio, off.Name, repairMaxRatio)
+	}
+	fmt.Println("guard: decayed-dump repair within gate")
 	return nil
 }
 

@@ -29,7 +29,7 @@ func main() {
 	traffic := flag.Bool("traffic", false, "print the command-level traffic cross-validation")
 	all := flag.Bool("all", false, "print everything")
 	hotpath := flag.String("hotpath", "", "run the attack hot-path benchmarks and write machine-readable JSON to this file (conventionally BENCH_hotpath.json)")
-	guard := flag.String("guard", "", "re-run the end-to-end attack benchmark and fail if it regresses past the gate recorded in this BENCH_hotpath.json")
+	guard := flag.String("guard", "", "re-run the end-to-end attack benchmarks and fail if they regress past the gate recorded in this BENCH_hotpath.json")
 	flag.Parse()
 	if *all {
 		*table2, *figure6, *figure7, *traffic = true, true, true, true

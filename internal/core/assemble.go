@@ -201,8 +201,13 @@ func (r *repairer) flip(bit int) { r.work[bit/8] ^= 1 << uint(bit%8) }
 // window words had decayed (so the derived master was garbage).
 //
 // Each flip candidate is first re-checked against the hit's own in-block
-// prediction (cheap); only candidates that keep the prediction consistent
-// pay for a full-schedule verification.
+// prediction, and only candidates that keep it consistent pay for a
+// full-schedule verification. A flip in a window bit the prediction never
+// reads stays consistent, though, so a single-flip search over an AES-256
+// window still verifies about 230 candidates. The hunt therefore calls it
+// only for hits that pass the schedule-syndrome gate (syndrome.go), which
+// skips the tables that break as many expansion checks as a misaligned
+// table must; called directly, RepairWindow always searches.
 //
 // block is the descrambled 64-byte block containing the hit.
 //

@@ -421,7 +421,7 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 	nBlocks := len(dump) / BlockBytes
 	nk := cfg.Variant.Nk()
 
-	var pairs, hits int64
+	var pairs, hits, repairs, gated, repaired int64
 	var done atomic.Int64
 	var cancelled atomic.Bool
 
@@ -456,6 +456,7 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 				emitFinding = func(f format.Finding) { run.recordFinding(f) }
 			}
 			var localPairs, localHits int64
+			var localRepairs, localGated, localRepaired int64
 			lastCheck := lo
 			chunkStart := obs.Now()
 			for b := lo; b < hi; b++ {
@@ -495,10 +496,14 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 					words := aes.BytesToWordsInto(sc.words[:0], sc.descrambled[:])
 					sc.hits = aesLitmusWords(words, cfg.Variant, cfg.AESTolerance, sc.hits[:0])
 					localHits += int64(len(sc.hits))
-					// Single-flip repair is cheap (prediction-prefiltered), so
-					// every failing hit may try it; the quadratic double-flip
-					// and cubic ground-state searches are rationed per
-					// (block, key) pair.
+					// A flip search costs a few hundred full-schedule
+					// verifications, so it runs only behind the syndrome gate
+					// (syndrome.go): the observed table at the hit's start must
+					// break fewer expansion checks than any misaligned table
+					// does. The quadratic double-flip and cubic ground-state
+					// searches are also rationed per (block, key) pair; a
+					// gated-off hit still spends its ration, so the gate only
+					// removes searches and never reorders them.
 					doubleRepairsLeft := 4
 					groundRepairsLeft := 4
 					for _, hit := range sc.hits {
@@ -532,18 +537,35 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 						if initialVerified && !cached {
 							run.schedules.Insert(master, sched)
 						}
+						flips, ground := 0, false
 						if score < cfg.MinVerifyScore && cfg.GroundDump != nil && groundRepairsLeft > 0 {
 							groundRepairsLeft--
-							master, score = repairWindowGroundScratch(&sc.repair, dump, cfg.GroundDump,
-								run.Directory, sc.descrambled[:], b, hit, cfg.Variant, 3, cfg.MinVerifyScore)
+							ground = true
 						} else if score < cfg.MinVerifyScore && cfg.RepairFlips > 0 {
-							flips := 1
+							flips = 1
 							if cfg.RepairFlips >= 2 && doubleRepairsLeft > 0 {
 								doubleRepairsLeft--
 								flips = cfg.RepairFlips
 							}
-							master, score = repairWindowScratch(&sc.repair, dump, run.Directory,
-								sc.descrambled[:], b, hit, cfg.Variant, flips, cfg.MinVerifyScore)
+						}
+						if ground || flips > 0 {
+							if !repairGateScratch(&sc.repair, dump, run.Directory, sched, start, cfg.Variant) {
+								localGated++
+							} else {
+								localRepairs++
+								repairStart := obs.Now()
+								if ground {
+									master, score = repairWindowGroundScratch(&sc.repair, dump, cfg.GroundDump,
+										run.Directory, sc.descrambled[:], b, hit, cfg.Variant, 3, cfg.MinVerifyScore)
+								} else {
+									master, score = repairWindowScratch(&sc.repair, dump, run.Directory,
+										sc.descrambled[:], b, hit, cfg.Variant, flips, cfg.MinVerifyScore)
+								}
+								run.tracer.Observe("hunt.repair_ns", obs.Since(repairStart))
+								if score >= cfg.MinVerifyScore {
+									localRepaired++
+								}
+							}
 						}
 						if score >= cfg.MinVerifyScore {
 							// Correct residual linear-chain bit errors via
@@ -566,6 +588,9 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 			run.mu.Lock()
 			pairs += localPairs
 			hits += localHits
+			repairs += localRepairs
+			gated += localGated
+			repaired += localRepaired
 			run.mu.Unlock()
 		}(lo, hi)
 	}
@@ -573,6 +598,9 @@ func (huntStage) Run(ctx context.Context, run *AttackRun) error {
 	run.Res.PairsTested = pairs
 	run.tracer.Count("hunt.pairs_tested", pairs)
 	run.tracer.Count("hunt.schedule_hits", hits)
+	run.tracer.Count("hunt.repair_attempts", repairs)
+	run.tracer.Count("hunt.repair_gated", gated)
+	run.tracer.Count("hunt.repair_verified", repaired)
 	run.mu.Lock()
 	candidates := int64(len(run.found))
 	run.mu.Unlock()

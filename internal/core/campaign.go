@@ -212,7 +212,13 @@ shardLoop:
 			colVols = append(colVols, sr.Volumes...)
 			pairs += sr.Pairs
 			done++
-			doneBlk += sh.Blocks
+			// A shard owns the blocks up to the next shard's first; its
+			// overlap tail is counted there, so every block counts once.
+			owned := totalBlocks - sh.FirstBlock
+			if sh.Index+1 < len(plan.Shards) {
+				owned = plan.Shards[sh.Index+1].FirstBlock - sh.FirstBlock
+			}
+			doneBlk += owned
 			if cfg.OnProgress != nil {
 				cfg.OnProgress(Progress{
 					DoneShards: done, TotalShards: len(plan.Shards),

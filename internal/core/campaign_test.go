@@ -48,14 +48,16 @@ func TestCampaignMatchesSingleAttack(t *testing.T) {
 		t.Fatal(err)
 	}
 	var progressCalls int
+	var last Progress
 	camp, err := RunCampaign(context.Background(), dump, CampaignConfig{
 		ShardBlocks: 4096, // 256 KiB shards: the table straddles boundaries
 		Parallel:    4,
 		OnProgress: func(p Progress) {
 			progressCalls++
-			if p.TotalBlocks != len(dump)/64 {
-				t.Errorf("bad progress total: %+v", p)
+			if p.TotalBlocks != len(dump)/64 || p.DoneBlocks > p.TotalBlocks {
+				t.Errorf("bad progress: %+v", p)
 			}
+			last = p
 		},
 	})
 	if err != nil {
@@ -72,6 +74,10 @@ func TestCampaignMatchesSingleAttack(t *testing.T) {
 	}
 	if progressCalls == 0 {
 		t.Error("no progress reported")
+	}
+	// Overlap blocks are scanned twice but count once.
+	if last.DoneBlocks != last.TotalBlocks {
+		t.Errorf("final progress %d of %d blocks", last.DoneBlocks, last.TotalBlocks)
 	}
 }
 

@@ -37,7 +37,8 @@ func SuspectMask(dump, groundDump []byte, blockIdx int) [BlockBytes]byte {
 // prediction stay "consistent", so every candidate costs a full-schedule
 // verification — the budget bounds that. block is the descrambled 64-byte
 // block containing the hit; dump and groundDump are the full captures the
-// suspects are derived from.
+// suspects are derived from. Like RepairWindow, the hunt calls it only for
+// hits that pass the schedule-syndrome gate (syndrome.go).
 //
 //lint:ignore ctxthread bounded per-hit repair (explicit verifyBudget caps the work); cancellation lives in the calling stage
 func RepairWindowGround(dump, groundDump []byte, keys KeyDirectory, block []byte, blockIdx int, hit ScheduleHit, v aes.Variant, maxFlips int, minScore float64) ([]byte, float64) {

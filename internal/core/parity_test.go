@@ -176,6 +176,50 @@ func TestVerifyRepairParity(t *testing.T) {
 	}
 }
 
+// attackParityScenarios are TestAttackPipelineParity's fixtures; the
+// external repair-gate soundness test reuses them through ParityFixture.
+var attackParityScenarios = []struct {
+	name  string
+	build func(t *testing.T) ([]byte, Config)
+}{
+	{"clean_scrambled_1MiB", func(t *testing.T) ([]byte, Config) {
+		dump := buildAttackDump(t, 1<<20, 61, workload.LightSystem,
+			testMaster(601, 32), 4096*BlockBytes+128)
+		return dump, Config{Workers: 1}
+	}},
+	{"decay_repair1", func(t *testing.T) ([]byte, Config) {
+		dump := buildAttackDump(t, 1<<20, 62, workload.LightSystem,
+			testMaster(602, 32), 2048*BlockBytes)
+		decayBits(dump, 620, len(dump)*8/2000)
+		return dump, Config{Workers: 1, RepairFlips: 1}
+	}},
+	{"corrupt_window_repair2", func(t *testing.T) ([]byte, Config) {
+		dump := buildAttackDump(t, 1<<20, 63, workload.LightSystem,
+			testMaster(603, 32), 1024*BlockBytes)
+		// Flip a bit in the first word of several interior table blocks so
+		// the double-flip repair path has real work.
+		for _, blk := range []int{1025, 1026, 1027} {
+			dump[blk*BlockBytes+2] ^= 0x20
+		}
+		return dump, Config{Workers: 1, RepairFlips: 2}
+	}},
+	{"ground_dump", func(t *testing.T) ([]byte, Config) {
+		dump, groundDump, _, _ := buildGroundScenario(t, 2)
+		return dump, Config{Workers: 1, GroundDump: groundDump}
+	}},
+	{"exhaustive_small", func(t *testing.T) ([]byte, Config) {
+		dump := buildAttackDump(t, 256<<10, 64, workload.LightSystem,
+			testMaster(604, 32), 512*BlockBytes)
+		return dump, Config{Workers: 1, Exhaustive: true}
+	}},
+	{"aes128_variant", func(t *testing.T) ([]byte, Config) {
+		dump := buildAttackDump(t, 512<<10, 65, workload.LightSystem,
+			testMaster(605, 16), 1000*BlockBytes)
+		decayBits(dump, 650, len(dump)*8/4000)
+		return dump, Config{Workers: 1, Variant: aes.AES128, RepairFlips: 1}
+	}},
+}
+
 // TestAttackPipelineParity is the tentpole oracle: the pooled, cached,
 // memoized pipeline (Workers: 1 for deterministic ordering) must emit
 // byte-identical results to the frozen seed pipeline on every scenario,
@@ -184,49 +228,7 @@ func TestAttackPipelineParity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("serial differential oracle (Workers: 1 vs verbatim seed copies): nothing for the race detector, and the reference pipeline is too slow under it")
 	}
-	type scenario struct {
-		name  string
-		build func(t *testing.T) ([]byte, Config)
-	}
-	scenarios := []scenario{
-		{"clean_scrambled_1MiB", func(t *testing.T) ([]byte, Config) {
-			dump := buildAttackDump(t, 1<<20, 61, workload.LightSystem,
-				testMaster(601, 32), 4096*BlockBytes+128)
-			return dump, Config{Workers: 1}
-		}},
-		{"decay_repair1", func(t *testing.T) ([]byte, Config) {
-			dump := buildAttackDump(t, 1<<20, 62, workload.LightSystem,
-				testMaster(602, 32), 2048*BlockBytes)
-			decayBits(dump, 620, len(dump)*8/2000)
-			return dump, Config{Workers: 1, RepairFlips: 1}
-		}},
-		{"corrupt_window_repair2", func(t *testing.T) ([]byte, Config) {
-			dump := buildAttackDump(t, 1<<20, 63, workload.LightSystem,
-				testMaster(603, 32), 1024*BlockBytes)
-			// Flip a bit in the first word of several interior table blocks so
-			// the double-flip repair path has real work.
-			for _, blk := range []int{1025, 1026, 1027} {
-				dump[blk*BlockBytes+2] ^= 0x20
-			}
-			return dump, Config{Workers: 1, RepairFlips: 2}
-		}},
-		{"ground_dump", func(t *testing.T) ([]byte, Config) {
-			dump, groundDump, _, _ := buildGroundScenario(t, 2)
-			return dump, Config{Workers: 1, GroundDump: groundDump}
-		}},
-		{"exhaustive_small", func(t *testing.T) ([]byte, Config) {
-			dump := buildAttackDump(t, 256<<10, 64, workload.LightSystem,
-				testMaster(604, 32), 512*BlockBytes)
-			return dump, Config{Workers: 1, Exhaustive: true}
-		}},
-		{"aes128_variant", func(t *testing.T) ([]byte, Config) {
-			dump := buildAttackDump(t, 512<<10, 65, workload.LightSystem,
-				testMaster(605, 16), 1000*BlockBytes)
-			decayBits(dump, 650, len(dump)*8/4000)
-			return dump, Config{Workers: 1, Variant: aes.AES128, RepairFlips: 1}
-		}},
-	}
-	for _, sc := range scenarios {
+	for _, sc := range attackParityScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			dump, cfg := sc.build(t)
 			got, err := AttackContext(context.Background(), dump, cfg)
