@@ -287,13 +287,52 @@ func (p *CampaignPlan) Wire() *WirePlan {
 	}
 }
 
+// maxWireStride caps the key-reuse period a wire plan may claim. The
+// residue directory costs tens of bytes per residue, so an unchecked
+// stride would let one corrupt plan allocate without bound; 1<<20 is 256x
+// the 4096-key pool a DDR4 channel's scrambler uses.
+const maxWireStride = 1 << 20
+
+// check rejects a wire plan PlanFromWire could not build a sound plan
+// from: it arrives over the network, and the scan indexes mined keys and
+// residues without further checks.
+func (w *WirePlan) check() error {
+	if w == nil || w.Mine == nil {
+		return fmt.Errorf("core: wire plan missing mine pool")
+	}
+	switch w.Variant {
+	case 0, aes.AES128, aes.AES192, aes.AES256:
+	default:
+		return fmt.Errorf("core: wire plan has unknown AES variant %d", int(w.Variant))
+	}
+	if w.TotalBlocks < 0 || w.Overlap < 0 {
+		return fmt.Errorf("core: wire plan has negative extent (%d blocks, overlap %d)", w.TotalBlocks, w.Overlap)
+	}
+	for _, k := range w.Mine.Keys {
+		if len(k.Key) != BlockBytes {
+			return fmt.Errorf("core: wire plan mined key is %d bytes, want %d", len(k.Key), BlockBytes)
+		}
+		for _, pos := range k.Positions {
+			if pos < 0 || pos >= w.TotalBlocks {
+				return fmt.Errorf("core: wire plan key sighting at block %d outside [0, %d)", pos, w.TotalBlocks)
+			}
+		}
+	}
+	// The planner derives the stride from the pool; a plan whose stride
+	// disagrees was not produced by it.
+	if inferred := w.Mine.InferStride(); w.Stride != inferred || w.Stride > maxWireStride {
+		return fmt.Errorf("core: wire plan stride %d does not match its pool (%d) or exceeds %d", w.Stride, inferred, maxWireStride)
+	}
+	return nil
+}
+
 // PlanFromWire reconstructs a scan-capable plan on a remote worker: the
 // same directory-construction rules as PlanCampaignSource, minus the
 // mining pass (the coordinator already paid it). The resulting plan can
 // ScanShardBytes; it cannot Finalize a campaign it did not plan.
 func PlanFromWire(w *WirePlan, tracer obs.Tracer) (*CampaignPlan, error) {
-	if w == nil || w.Mine == nil {
-		return nil, fmt.Errorf("core: wire plan missing mine pool")
+	if err := w.check(); err != nil {
+		return nil, err
 	}
 	attackCfg := Config{
 		Variant:         w.Variant,

@@ -9,17 +9,18 @@
 // same dump.
 //
 // Failure model: leases expire. A worker that stops heartbeating loses
-// its shard back to the queue (requeue); when the queue is empty but
-// shards are still outstanding, an idle worker is handed a duplicate
-// lease on the longest-running one (work stealing) and the first
-// completion wins. Shard results are idempotent — both copies of a stolen
-// shard produce the same bytes — so duplicates are simply dropped.
+// its shard back to the queue (requeue); when the queue is empty but a
+// shard has been running past the straggler bound, an idle worker is
+// handed a duplicate lease on it (work stealing) and the first completion
+// wins. Shard results are idempotent — both copies of a stolen shard
+// produce the same bytes — so duplicates are simply dropped.
 //
 // The package never reads the wall clock (noprint contract): lease
 // deadlines come from obs.Now(), the tracer-side monotonic clock.
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -67,8 +68,9 @@ type BoardStats struct {
 	Leased int `json:"leased"`
 	Done   int `json:"done"`
 	Total  int `json:"total"`
-	// Requeues counts leases that expired and put their shard back in the
-	// queue; Steals counts duplicate leases granted on stragglers.
+	// Requeues counts leases that expired (or whose completion was
+	// rejected) and put their shard back in the queue; Steals counts
+	// duplicate leases granted on stragglers.
 	Requeues int `json:"requeues"`
 	Steals   int `json:"steals"`
 	// Stragglers counts completed shards whose grant-to-completion time
@@ -113,6 +115,11 @@ type Board struct {
 	seq        uint64
 	finished   chan struct{}
 	now        func() int64 // obs.Now, injectable in tests
+	// requeued, when set, runs (under mu) each time a shard goes back on
+	// the queue, so the coordinator can wake the lease requests it holds.
+	// It may take the coordinator's lock; the coordinator never calls
+	// into a board while holding its own.
+	requeued func()
 }
 
 // NewBoard builds a board over the plan's shard cut. ttl is the lease
@@ -145,10 +152,11 @@ func NewBoard(shards []core.Shard, ttl time.Duration, tracer obs.Tracer, parent 
 }
 
 // Lease grants worker a shard: the oldest queued one, or — when the queue
-// is drained but shards are still outstanding — a duplicate (stolen)
-// lease on the longest-running single-leased shard. ok is false when
-// there is nothing to hand out (all shards done, or every straggler
-// already has a second worker on it).
+// is drained — a duplicate (stolen) lease on the longest-running
+// single-leased shard, once that lease has outlived the steal bound. ok
+// is false when there is nothing to hand out: all shards done, every
+// running shard still inside the bound, or every straggler already has a
+// second worker on it.
 func (b *Board) Lease(worker string) (Lease, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -163,10 +171,12 @@ func (b *Board) Lease(worker string) (Lease, bool) {
 		idx, b.queue = b.queue[0], b.queue[1:]
 		b.tracer.Observe("fleet.lease_wait_ns", now-b.shards[idx].queuedAt)
 	} else {
-		idx, stolen = b.stealTargetLocked()
-		if !stolen {
+		var granted int64
+		idx, granted = b.oldestSingleLeaseLocked()
+		if idx < 0 || now-granted <= b.stealBoundLocked() {
 			return Lease{}, false
 		}
+		stolen = true
 		b.steals++
 		b.tracer.Count("fleet.steals", 1)
 	}
@@ -202,23 +212,55 @@ func (b *Board) Lease(worker string) (Lease, bool) {
 	return *l, true
 }
 
-// stealTargetLocked picks the straggler to duplicate: the leased shard
-// with the oldest outstanding grant that has only one worker on it.
-func (b *Board) stealTargetLocked() (int, bool) {
-	best, bestGrant := -1, int64(0)
+// oldestSingleLeaseLocked returns the leased shard with the oldest
+// outstanding grant among those with only one worker on it — the steal
+// candidate — and that grant's time. idx is -1 when there is none.
+func (b *Board) oldestSingleLeaseLocked() (idx int, granted int64) {
+	idx = -1
 	for i, sh := range b.shards {
 		if sh.status != shardLeased || len(sh.leases) != 1 {
 			continue
 		}
-		var g int64
 		for _, l := range sh.leases {
-			g = l.granted
-		}
-		if best == -1 || g < bestGrant {
-			best, bestGrant = i, g
+			if idx == -1 || l.granted < granted {
+				idx, granted = i, l.granted
+			}
 		}
 	}
-	return best, best != -1
+	return idx, granted
+}
+
+// stragglerBoundLocked is the grant-to-completion time past which a shard
+// counts as straggling: 2x the p99 of this board's earlier completions.
+// ok is false until stragglerSampleFloor completions exist.
+func (b *Board) stragglerBoundLocked() (bound int64, ok bool) {
+	s := b.durs.Snapshot("")
+	return 2 * s.P99, s.Count >= stragglerSampleFloor
+}
+
+// stealBoundLocked is the lease age a shard must exceed before an idle
+// worker may duplicate it: the straggler bound, or one lease TTL while
+// too few completions exist to trust a p99. Stealing any younger shard
+// would scan it twice for nothing — its own worker is on schedule.
+func (b *Board) stealBoundLocked() int64 {
+	if bound, ok := b.stragglerBoundLocked(); ok {
+		return bound
+	}
+	return b.ttl
+}
+
+// NextSteal reports how long until the board's steal candidate outlives
+// the steal bound (zero if it already has). ok is false when no shard is
+// a candidate — nothing is running single-leased.
+func (b *Board) NextSteal() (time.Duration, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	idx, granted := b.oldestSingleLeaseLocked()
+	if idx < 0 {
+		return 0, false
+	}
+	// Eligible strictly past the bound, as Lease checks it.
+	return time.Duration(max(granted+b.stealBoundLocked()+1-b.now(), 0)), true
 }
 
 // Heartbeat renews a lease's expiry. False means the lease is gone —
@@ -254,30 +296,57 @@ func (b *Board) LeaseAlive(leaseID string) bool {
 }
 
 // Complete records a shard's results under the given lease. accepted is
-// false for an unknown lease or a shard another worker already finished
-// (the stolen-duplicate loser) — both benign, the results are dropped.
-// When accepted, the CompleteInfo names the winning worker and the lease
-// span the worker's telemetry belongs under.
+// false for an unknown lease, a shard another worker already finished
+// (the stolen-duplicate loser) — both benign, the results are dropped —
+// or a result that does not fit its lease (see complete). When accepted,
+// the CompleteInfo names the winning worker and the lease span the
+// worker's telemetry belongs under.
 func (b *Board) Complete(leaseID string, res core.ShardResult) (CompleteInfo, bool) {
+	info, err := b.complete(leaseID, res)
+	return info, err == nil
+}
+
+// errLeaseGone is Complete's benign refusal: the lease expired, was
+// superseded, or never existed.
+var errLeaseGone = errors.New("fleet: lease gone")
+
+// errRejected marks a completion refused because its result does not fit
+// the leased shard; the lease is dropped and the shard requeued.
+var errRejected = errors.New("fleet: completion rejected")
+
+// complete is Complete with the reason for a refusal: errLeaseGone, or an
+// errRejected wrap when the result claims a shard other than the leased
+// one (FirstBlock and Blocks, not just Index) or reports a key table or
+// volume outside that shard's bytes. A rejected lease is dropped and, if
+// no other worker holds the shard, the shard goes back on the queue.
+func (b *Board) complete(leaseID string, res core.ShardResult) (CompleteInfo, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	now := b.now()
 	l, ok := b.leases[leaseID]
 	if !ok {
-		return CompleteInfo{}, false
+		return CompleteInfo{}, errLeaseGone
 	}
-	sh := b.shards[shardByIndex(b.shards, l.Shard.Index)]
+	idx := shardByIndex(b.shards, l.Shard.Index)
+	sh := b.shards[idx]
 	span := l.span
-	if sh.status == shardDone || res.Shard.Index != sh.shard.Index {
+	if sh.status == shardDone {
 		b.dropLeaseLocked(l, "complete")
-		return CompleteInfo{}, false
+		return CompleteInfo{}, errLeaseGone
+	}
+	if err := checkShardResult(l.Shard, res); err != nil {
+		b.dropLeaseLocked(l, "rejected")
+		if len(sh.leases) == 0 {
+			b.requeueLocked(idx, now)
+		}
+		return CompleteInfo{}, err
 	}
 	dur := now - l.granted
 	info := CompleteInfo{Worker: l.Worker, Stolen: l.Stolen, Span: span, GrantedNs: l.granted, DurNs: dur}
 	// The straggler bound comes from completions BEFORE this one, so the
 	// first slow shard in a run can still be flagged. Attrs must land
 	// before dropLeaseLocked ends the span.
-	if s := b.durs.Snapshot(""); s.Count >= stragglerSampleFloor && dur > 2*s.P99 {
+	if bound, ok := b.stragglerBoundLocked(); ok && dur > bound {
 		info.Straggler = true
 		b.stragglers++
 		b.tracer.Count("fleet.stragglers", 1)
@@ -303,7 +372,7 @@ func (b *Board) Complete(leaseID string, res core.ShardResult) (CompleteInfo, bo
 	if b.done == len(b.shards) {
 		close(b.finished)
 	}
-	return info, true
+	return info, nil
 }
 
 // Expire requeues every lease whose holder stopped heartbeating. It is
@@ -328,14 +397,46 @@ func (b *Board) expireLocked(now int64) int {
 			continue
 		}
 		if len(sh.leases) == 0 {
-			sh.status = shardQueued
-			sh.queuedAt = now
-			b.queue = append(b.queue, shardByIndex(b.shards, l.Shard.Index))
-			b.requeues++
-			b.tracer.Count("fleet.requeues", 1)
+			b.requeueLocked(shardByIndex(b.shards, l.Shard.Index), now)
 		}
 	}
 	return n
+}
+
+// requeueLocked puts a shard no worker holds back on the queue.
+func (b *Board) requeueLocked(idx int, now int64) {
+	sh := b.shards[idx]
+	sh.status = shardQueued
+	sh.queuedAt = now
+	b.queue = append(b.queue, idx)
+	b.requeues++
+	b.tracer.Count("fleet.requeues", 1)
+	if b.requeued != nil {
+		b.requeued()
+	}
+}
+
+// checkShardResult rejects a result that does not fit the leased shard:
+// a different cut, or a key table or volume outside the shard's bytes.
+// Scans rebase every offset to full-dump coordinates and only report
+// tables that start inside the shard, so an honest worker never trips it.
+func checkShardResult(leased core.Shard, res core.ShardResult) error {
+	if res.Shard != leased {
+		return fmt.Errorf("%w: result for shard %+v, lease is for %+v", errRejected, res.Shard, leased)
+	}
+	lo := leased.FirstBlock * core.BlockBytes
+	hi := lo + leased.Blocks*core.BlockBytes
+	for _, k := range res.Keys {
+		if k.TableStart < lo || k.TableStart >= hi {
+			return fmt.Errorf("%w: key table at byte %d outside shard [%d, %d)", errRejected, k.TableStart, lo, hi)
+		}
+	}
+	for _, v := range res.Volumes {
+		if v.Offset < lo || v.Offset >= hi {
+			return fmt.Errorf("%w: volume at byte %d outside shard [%d, %d)", errRejected, v.Offset, lo, hi)
+		}
+	}
+	return nil
 }
 
 // dropLeaseLocked removes a lease from both indexes and closes its span.

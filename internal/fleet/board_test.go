@@ -112,15 +112,27 @@ func TestBoardHeartbeatExtendsLease(t *testing.T) {
 	}
 }
 
+// ageOnePastTTL ages a lease past one TTL — the steal bound before any
+// completions exist — while a heartbeat keeps it alive.
+func ageOnePastTTL(t *testing.T, b *Board, clk *fakeClock, leaseID string) {
+	t.Helper()
+	clk.advance(b.ttl / 2)
+	if !b.Heartbeat(leaseID) {
+		t.Fatal("heartbeat rejected")
+	}
+	clk.advance(b.ttl/2 + 1)
+}
+
 // TestBoardWorkStealing: with the queue drained, an idle worker is handed
 // a duplicate lease on the straggling shard; the first completion wins and
 // the loser's result is dropped.
 func TestBoardWorkStealing(t *testing.T) {
-	b, _ := testBoard(1, time.Minute)
+	b, clk := testBoard(1, time.Minute)
 	orig, ok := b.Lease("slow")
 	if !ok {
 		t.Fatal("no initial lease")
 	}
+	ageOnePastTTL(t, b, clk, orig.ID)
 	dup, ok := b.Lease("fast")
 	if !ok || !dup.Stolen || dup.Shard.Index != orig.Shard.Index {
 		t.Fatalf("no stolen duplicate: %+v ok=%v", dup, ok)
@@ -140,6 +152,59 @@ func TestBoardWorkStealing(t *testing.T) {
 	}
 	if _, err := b.Results(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBoardNoStealBeforeBound: an in-flight shard younger than the steal
+// bound is never duplicated — one TTL before stragglerSampleFloor
+// completions exist, 2x their p99 after — and NextSteal names the instant
+// it becomes eligible.
+func TestBoardNoStealBeforeBound(t *testing.T) {
+	b, clk := testBoard(stragglerSampleFloor+1, time.Minute)
+	first, _ := b.Lease("w1")
+	clk.advance(int64(30 * time.Second))
+	if !b.Heartbeat(first.ID) {
+		t.Fatal("heartbeat rejected")
+	}
+	leases := []Lease{first}
+	for i := 1; i < stragglerSampleFloor; i++ {
+		l, ok := b.Lease("w1")
+		if !ok || l.Stolen {
+			t.Fatalf("queued shard %d not leased cleanly: %+v ok=%v", i, l, ok)
+		}
+		leases = append(leases, l)
+	}
+	// The ninth shard is still queued; lease it, then the queue is empty.
+	last, _ := b.Lease("w2")
+	if l, ok := b.Lease("idle"); ok {
+		t.Fatalf("shard 30s into a 1m TTL stolen before the floor: %+v", l)
+	}
+	if d, ok := b.NextSteal(); !ok || d != 30*time.Second+1 {
+		t.Fatalf("NextSteal = %v, %v; want 30s+1ns", d, ok)
+	}
+
+	// Complete the first stragglerSampleFloor shards, 100ms apart, so the
+	// bound switches from the TTL to the completions' p99.
+	for _, l := range leases {
+		clk.advance(int64(100 * time.Millisecond))
+		if _, ok := b.Complete(l.ID, result(l.Shard)); !ok {
+			t.Fatalf("completion of %s rejected", l.ID)
+		}
+	}
+	b.mu.Lock()
+	bound := b.stealBoundLocked()
+	b.mu.Unlock()
+	if bound >= b.ttl {
+		t.Fatalf("steal bound %v after the floor, want 2x the completions' p99", time.Duration(bound))
+	}
+	age := clk.t - last.granted
+	clk.advance(bound - age) // exactly at the bound: not yet past it
+	if l, ok := b.Lease("idle"); ok {
+		t.Fatalf("shard at the straggler bound stolen: %+v", l)
+	}
+	clk.advance(1)
+	if l, ok := b.Lease("idle"); !ok || !l.Stolen || l.Shard.Index != last.Shard.Index {
+		t.Fatalf("shard past the straggler bound not stolen: %+v ok=%v", l, ok)
 	}
 }
 

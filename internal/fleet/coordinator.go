@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -41,6 +42,10 @@ type leaseResponse struct {
 	// the worker's send/receive timestamps it yields one NTP-style clock
 	// offset sample.
 	NowNs int64 `json:"now_ns"`
+	// HeldNs is how long the coordinator held the request before granting
+	// it. The worker takes it out of the round trip, so a long-polled
+	// lease still yields a clock sample as tight as its network time.
+	HeldNs int64 `json:"held_ns,omitempty"`
 }
 
 type leaseRef struct {
@@ -107,6 +112,13 @@ type Coordinator struct {
 	order    []string // session IDs, oldest first: lease scan order
 	seq      uint64
 	workers  map[string]int64 // worker name -> last contact (obs.Now)
+	// wake is closed and replaced whenever work may have appeared (a
+	// campaign registered, a shard requeued), releasing every held lease
+	// request to look again.
+	wake chan struct{}
+
+	closed    chan struct{} // closed by Close
+	closeOnce sync.Once
 }
 
 type session struct {
@@ -135,7 +147,29 @@ func NewCoordinator(ttl time.Duration, tracer obs.Tracer) *Coordinator {
 		tracer:   obs.OrNop(tracer),
 		sessions: make(map[string]*session),
 		workers:  make(map[string]int64),
+		wake:     make(chan struct{}),
+		closed:   make(chan struct{}),
 	}
+}
+
+// Close ends the lease protocol for shutdown: every held lease request is
+// released with 503 and later ones are answered 503 at once, so an HTTP
+// server shutdown never waits out a hold. Heartbeats and completions
+// still work, letting in-flight shards finish. Idempotent.
+func (c *Coordinator) Close() {
+	c.closeOnce.Do(func() { close(c.closed) })
+}
+
+// wakeLeases releases every held lease request to look for work again.
+func (c *Coordinator) wakeLeases() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.wakeLocked()
+}
+
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // Register mounts the fleet protocol on mux.
@@ -180,16 +214,19 @@ func (c *Coordinator) Run(ctx context.Context, src core.BlockSource, cfg core.Ca
 		board:   NewBoard(plan.Shards, c.ttl, c.tracer, plan.Root()),
 		flushes: make(map[string]*telemetryRequest),
 	}
+	s.board.requeued = c.wakeLeases
 	c.mu.Lock()
 	c.seq++
 	s.id = "c" + strconv.FormatUint(c.seq, 10)
 	c.sessions[s.id] = s
 	c.order = append(c.order, s.id)
+	c.wakeLocked()
 	c.mu.Unlock()
 	defer c.unregister(s.id)
 
-	// Tick lease expiry so a dead fleet's shards requeue (and ctx
-	// cancellation is noticed) even when no worker traffic arrives.
+	// Tick lease expiry so a dead worker's shards requeue (waking the
+	// lease requests held for them, and noticing ctx cancellation) even
+	// when no other worker traffic arrives.
 	tick := time.NewTicker(c.ttl / 4)
 	defer tick.Stop()
 	for {
@@ -277,8 +314,10 @@ func (c *Coordinator) session(id, worker string) *session {
 	return c.sessions[id]
 }
 
-// liveSessions returns the campaigns in registration order.
-func (c *Coordinator) liveSessions(worker string) []*session {
+// liveSessions returns the campaigns in registration order, and the wake
+// channel current as of that snapshot: any campaign or requeue after it
+// closes the channel.
+func (c *Coordinator) liveSessions(worker string) ([]*session, <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if worker != "" {
@@ -288,36 +327,104 @@ func (c *Coordinator) liveSessions(worker string) []*session {
 	for _, id := range c.order {
 		out = append(out, c.sessions[id])
 	}
-	return out
+	return out, c.wake
 }
 
+// handleLease grants the next shard from any live campaign. With none to
+// hand out it holds the request (long-poll) until work may exist: a
+// campaign registers, a shard is requeued, a running shard outlives its
+// steal bound, the worker hangs up, or the coordinator closes. Only a
+// hold that runs its full length, TTL/2, answers 204 — well inside the
+// 2-TTL horizon that counts the worker alive. New work thus reaches an
+// idle worker as soon as it exists, with no poll interval in between.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
 		http.Error(w, "bad lease request", http.StatusBadRequest)
 		return
 	}
-	for _, s := range c.liveSessions(req.Worker) {
-		l, ok := s.board.Lease(req.Worker)
-		if !ok {
-			continue
+	start := obs.Now()
+	hold := time.NewTimer(c.ttl / 2)
+	defer hold.Stop()
+	for !c.isClosed() {
+		// Snapshot the wake channel before trying the boards, so work that
+		// appears after a board came up empty still wakes this request.
+		sessions, wake := c.liveSessions(req.Worker)
+		steal := time.Duration(-1)
+		for _, s := range sessions {
+			if l, ok := s.board.Lease(req.Worker); ok {
+				held := obs.Now() - start
+				c.tracer.Observe("fleet.lease_hold_ns", held)
+				c.writeLease(w, s, l, held)
+				return
+			}
+			if d, ok := s.board.NextSteal(); ok && (steal < 0 || d < steal) {
+				steal = d
+			}
 		}
-		trace := s.plan.Trace
-		if col := obs.FindCollector(c.tracer); col != nil {
-			trace.ParentSpan = col.SpanID(l.span)
+		if !c.awaitWork(r.Context(), wake, hold.C, steal) {
+			break
 		}
-		writeJSON(w, leaseResponse{
-			Campaign: s.id,
-			Lease:    l.ID,
-			Stolen:   l.Stolen,
-			Shard:    l.Shard,
-			TTLNs:    int64(c.ttl),
-			Trace:    trace,
-			NowNs:    obs.Now(),
-		})
-		return
 	}
-	w.WriteHeader(http.StatusNoContent)
+	switch {
+	case c.isClosed():
+		http.Error(w, "coordinator closed", http.StatusServiceUnavailable)
+	case r.Context().Err() != nil:
+		// The worker hung up; nobody reads a reply.
+	default:
+		c.tracer.Observe("fleet.lease_hold_ns", obs.Now()-start)
+		w.WriteHeader(http.StatusNoContent)
+	}
+}
+
+// awaitWork blocks a held lease request until work may exist. It returns
+// true to look again — on a wake, or once steal (when non-negative) has
+// passed — and false when the hold is over: hold fired, ctx ended, or
+// the coordinator closed.
+func (c *Coordinator) awaitWork(ctx context.Context, wake <-chan struct{}, hold <-chan time.Time, steal time.Duration) bool {
+	var stealC <-chan time.Time
+	if steal >= 0 {
+		t := time.NewTimer(steal)
+		defer t.Stop()
+		stealC = t.C
+	}
+	select {
+	case <-wake:
+		return true
+	case <-stealC:
+		return true
+	case <-hold:
+	case <-c.closed:
+	case <-ctx.Done():
+	}
+	return false
+}
+
+func (c *Coordinator) isClosed() bool {
+	select {
+	case <-c.closed:
+		return true
+	default:
+		return false
+	}
+}
+
+// writeLease answers a lease request with the granted lease.
+func (c *Coordinator) writeLease(w http.ResponseWriter, s *session, l Lease, held int64) {
+	trace := s.plan.Trace
+	if col := obs.FindCollector(c.tracer); col != nil {
+		trace.ParentSpan = col.SpanID(l.span)
+	}
+	writeJSON(w, leaseResponse{
+		Campaign: s.id,
+		Lease:    l.ID,
+		Stolen:   l.Stolen,
+		Shard:    l.Shard,
+		TTLNs:    int64(c.ttl),
+		Trace:    trace,
+		NowNs:    obs.Now(),
+		HeldNs:   held,
+	})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -373,7 +480,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no such campaign", http.StatusGone)
 		return
 	}
-	info, accepted := s.board.Complete(req.Lease, core.ShardResult{
+	info, err := s.board.complete(req.Lease, core.ShardResult{
 		Shard:   req.Shard,
 		Keys:    req.Keys,
 		Volumes: req.Volumes,
@@ -385,14 +492,21 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	buffered := s.flushes[req.Lease]
 	delete(s.flushes, req.Lease)
 	s.fmu.Unlock()
-	if accepted {
+	if errors.Is(err, errRejected) {
+		// A result that does not fit its lease never reaches the merge;
+		// the shard is back on the queue for another worker.
+		c.tracer.Count("fleet.completions_rejected", 1)
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		return
+	}
+	if err == nil {
 		c.graftTelemetry(&req, buffered, info)
 	}
 	// A dropped duplicate (stolen-shard loser, expired lease) is a normal
 	// outcome, not a client error; the worker just moves on.
 	writeJSON(w, struct {
 		Accepted bool `json:"accepted"`
-	}{accepted})
+	}{err == nil})
 }
 
 // graftTelemetry merges one accepted shard's shipped telemetry into the

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -340,5 +342,112 @@ func TestWirePlanRoundTrip(t *testing.T) {
 	rj, _ := json.Marshal(rr)
 	if string(lj) != string(rj) {
 		t.Fatalf("wire-rebuilt plan diverged on shard %d:\nlocal:  %s\nremote: %s", sh.Index, lj, rj)
+	}
+}
+
+// scrambledImage is a scrambled light-system memory image, small enough
+// that several campaigns over it finish in about a second even under the
+// race detector.
+func scrambledImage(t testing.TB, size int, seed int64) []byte {
+	t.Helper()
+	plain := make([]byte, size)
+	if err := workload.Fill(plain, seed, workload.LightSystem); err != nil {
+		t.Fatal(err)
+	}
+	dump := make([]byte, size)
+	scramble.NewSkylakeDDR4(uint64(seed)*31+7).Scramble(dump, plain, 0)
+	return dump
+}
+
+// TestLeasesArePushed: with Worker.Poll at an hour, shards can reach the
+// workers only by waking their held lease requests. Three campaigns that
+// register at once, while both workers are already waiting, must all
+// finish inside 10 s — far inside one hold (TTL/2 = 30 s) — with every
+// shard completed exactly once. A worker that fell back to polling would
+// sleep for an hour; a lost wakeup would park it for the rest of a hold.
+func TestLeasesArePushed(t *testing.T) {
+	const (
+		imageBytes        = 32 << 10
+		shardsPerCampaign = 4 // 512 blocks cut every 128
+	)
+	col := obs.NewCollector()
+	coord := NewCoordinator(time.Minute, col)
+	mux := http.NewServeMux()
+	coord.Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	wctx, stopWorkers := context.WithCancel(context.Background())
+	var workers sync.WaitGroup
+	defer func() {
+		stopWorkers()
+		workers.Wait()
+	}()
+	for _, name := range []string{"w1", "w2"} {
+		workers.Add(1)
+		go func(name string) {
+			defer workers.Done()
+			w := &Worker{Base: srv.URL, Name: name, Poll: time.Hour}
+			w.Run(wctx)
+		}(name)
+	}
+	// Both workers have asked for a lease (and found none) before any
+	// campaign exists, so every shard below is delivered by a wakeup.
+	for coord.Stats().WorkersAlive < 2 {
+		runtime.Gosched()
+	}
+
+	dumps := make([][]byte, 3)
+	for i := range dumps {
+		dumps[i] = scrambledImage(t, imageBytes, int64(i+1))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cfg := core.CampaignConfig{ShardBlocks: 128, Attack: core.Config{Workers: 1}}
+	errs := make([]error, len(dumps))
+	var runs sync.WaitGroup
+	for i, dump := range dumps {
+		runs.Add(1)
+		go func(i int, dump []byte) {
+			defer runs.Done()
+			_, errs[i] = coord.Run(ctx, core.BytesSource(dump), cfg)
+		}(i, dump)
+	}
+	runs.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("campaign %d: %v", i, err)
+		}
+	}
+
+	// One lease span per shard, each ended by its own completion: no
+	// duplicate (stolen), expired or rejected lease anywhere.
+	completed := map[[2]uint64]int{} // (campaign root, shard) -> completions
+	for _, s := range col.Spans() {
+		if s.Name != "fleet.lease" {
+			continue
+		}
+		var shard, outcome string
+		for _, a := range s.Attrs {
+			switch a.Key {
+			case "shard":
+				shard = a.Value
+			case "outcome":
+				outcome = a.Value
+			}
+		}
+		if outcome != "complete" {
+			t.Fatalf("lease on shard %s ended %q, want complete", shard, outcome)
+		}
+		idx, _ := strconv.ParseUint(shard, 10, 64)
+		completed[[2]uint64{s.Root, idx}]++
+	}
+	if len(completed) != len(dumps)*shardsPerCampaign {
+		t.Fatalf("%d shards completed, want %d", len(completed), len(dumps)*shardsPerCampaign)
+	}
+	for k, n := range completed {
+		if n != 1 {
+			t.Fatalf("shard %d of campaign root %d completed %d times, want once", k[1], k[0], n)
+		}
 	}
 }

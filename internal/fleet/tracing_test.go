@@ -2,12 +2,16 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"coldboot/internal/core"
+	"coldboot/internal/format"
 	"coldboot/internal/obs"
 )
 
@@ -159,10 +163,13 @@ func TestCompleteGraftsSkewedWorkerClock(t *testing.T) {
 // results, so the timeline shows exactly one worker scanning the shard.
 func TestStolenShardAttribution(t *testing.T) {
 	h := newTracingHarness(t, 1)
+	clk := &fakeClock{t: obs.Now()}
+	h.sess.board.now = clk.now
 	slow, ok := h.sess.board.Lease("w-slow")
 	if !ok {
 		t.Fatal("no initial lease")
 	}
+	ageOnePastTTL(t, h.sess.board, clk, slow.ID)
 	fast, ok := h.sess.board.Lease("w-fast")
 	if !ok || !fast.Stolen {
 		t.Fatal("no stolen duplicate")
@@ -292,6 +299,55 @@ func TestExpiredLeaseTelemetryDiscarded(t *testing.T) {
 	}
 }
 
+// TestCompleteRejectsResultsOutsideShard: a completion must describe the
+// leased shard exactly and report nothing outside its bytes. A misfit is
+// refused with 422 before any merge or graft, counted, and its shard goes
+// straight back on the queue, where an honest result is then accepted.
+func TestCompleteRejectsResultsOutsideShard(t *testing.T) {
+	// Shard 1 of testShards(2, 128) covers bytes [8192, 16384).
+	const lo, hi = 128 * core.BlockBytes, 256 * core.BlockBytes
+	for _, tc := range []struct {
+		name string
+		edit func(*completeRequest)
+	}{
+		{"other first block", func(r *completeRequest) { r.Shard.FirstBlock++ }},
+		{"other length", func(r *completeRequest) { r.Shard.Blocks-- }},
+		{"key before shard", func(r *completeRequest) { r.Keys = []core.FoundKey{{TableStart: lo - 1}} }},
+		{"key past shard", func(r *completeRequest) { r.Keys = []core.FoundKey{{TableStart: hi}} }},
+		{"volume past shard", func(r *completeRequest) { r.Volumes = []format.Volume{{Offset: hi}} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newTracingHarness(t, 2)
+			h.sess.board.Lease("w0")
+			l, _ := h.sess.board.Lease("w1")
+			tel := workerTelemetry(100)
+			req := completeRequest{Campaign: "c1", Lease: l.ID, Shard: l.Shard, Worker: "w1", Telemetry: &tel}
+			tc.edit(&req)
+			if accepted, code := h.complete(t, req); accepted || code != 422 {
+				t.Fatalf("misfit completion: accepted=%v status=%d, want refused with 422", accepted, code)
+			}
+			if got := h.col.Report().Counters["fleet.completions_rejected"]; got != 1 {
+				t.Fatalf("fleet.completions_rejected = %d, want 1", got)
+			}
+			if got := trackedSpans(h.col, ""); len(got) != 0 {
+				t.Fatalf("rejected completion grafted %d spans", len(got))
+			}
+			again, ok := h.sess.board.Lease("w2")
+			if !ok || again.Stolen || again.Shard != l.Shard {
+				t.Fatalf("rejected shard not requeued: %+v ok=%v", again, ok)
+			}
+			good := completeRequest{
+				Campaign: "c1", Lease: again.ID, Shard: again.Shard, Worker: "w2",
+				Keys:    []core.FoundKey{{TableStart: lo}, {TableStart: hi - 1}},
+				Volumes: []format.Volume{{Offset: lo}},
+			}
+			if accepted, code := h.complete(t, good); !accepted {
+				t.Fatalf("in-shard completion refused (status %d)", code)
+			}
+		})
+	}
+}
+
 // TestStragglerDetection: completions beyond 2x the p99 of earlier ones
 // are flagged, counted, and attributed on the lease span.
 func TestStragglerDetection(t *testing.T) {
@@ -333,5 +389,52 @@ func TestStragglerDetection(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `coldbootd_pipeline_fleet_shard_seconds_count{worker="w1"} 9`) {
 		t.Fatalf("per-worker labelled series missing from exposition:\n%s", buf.String())
+	}
+}
+
+// TestRequeueWakesHeldLeases: a shard going back on the queue must
+// release the lease requests the coordinator is holding, or an idle
+// worker would sit out the rest of its hold while work waits.
+func TestRequeueWakesHeldLeases(t *testing.T) {
+	h := newTracingHarness(t, 1)
+	clk := &fakeClock{t: obs.Now()}
+	h.sess.board.now = clk.now
+	h.sess.board.requeued = h.coord.wakeLeases
+	if _, ok := h.sess.board.Lease("w1"); !ok {
+		t.Fatal("no lease")
+	}
+	_, wake := h.coord.liveSessions("w2") // what a held request waits on
+	clk.advance(int64(2 * time.Minute))
+	if n := h.sess.board.Expire(); n != 1 {
+		t.Fatalf("Expire requeued %d leases, want 1", n)
+	}
+	select {
+	case <-wake:
+	default:
+		t.Fatal("requeue did not wake held lease requests")
+	}
+}
+
+// TestHeldLeaseClockSample: a lease granted after a long hold must still
+// give the worker a tight clock sample. The coordinator reports how long
+// it held the request, and the worker takes that out of the round trip;
+// otherwise half the hold would land in the offset estimate.
+func TestHeldLeaseClockSample(t *testing.T) {
+	const (
+		skew = int64(time.Hour) // coordinator clock ahead of the worker's
+		hold = 300 * time.Millisecond
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := obs.Now()
+		time.Sleep(hold) // stands in for the coordinator holding the lease
+		writeJSON(w, leaseResponse{Campaign: "c1", Lease: "l1", NowNs: obs.Now() + skew, HeldNs: obs.Now() - start})
+	}))
+	defer srv.Close()
+	w := &Worker{Base: srv.URL, Name: "w1"}
+	if _, ok, err := w.lease(context.Background()); !ok || err != nil {
+		t.Fatalf("lease: ok=%v err=%v", ok, err)
+	}
+	if got := w.clock.Offset() - skew; got < -int64(hold)/4 || got > int64(hold)/4 {
+		t.Fatalf("clock offset off by %v after a %v hold", time.Duration(got), hold)
 	}
 }

@@ -15,12 +15,12 @@ import (
 	"coldboot/internal/obs"
 )
 
-// Worker is the client side of the fleet protocol: it polls the
-// coordinator for shard leases, reconstructs the campaign plan from its
-// wire projection, scans leased shards with the shared per-shard
-// pipeline, and posts results back. Run until the context is cancelled;
-// transport errors back off and retry (the coordinator's lease expiry
-// covers the shard either way).
+// Worker is the client side of the fleet protocol: it asks the
+// coordinator for shard leases (each request is held open until work
+// exists), reconstructs the campaign plan from its wire projection, scans
+// leased shards with the shared per-shard pipeline, and posts results
+// back. Run until the context is cancelled; transport errors back off and
+// retry (the coordinator's lease expiry covers the shard either way).
 type Worker struct {
 	// Base is the coordinator's URL prefix, e.g. "http://host:7133".
 	Base string
@@ -30,8 +30,11 @@ type Worker struct {
 	Client *http.Client
 	// Tracer observes the worker's scans. Nil means no tracing.
 	Tracer obs.Tracer
-	// Poll is the idle re-poll interval when the coordinator has no work
-	// (zero means 250ms).
+	// Poll is the back-off before asking again after a failed lease call:
+	// a transport error, or a status other than 200 and 204 (503 from a
+	// closing coordinator). Zero means 250ms. An empty 204 answer is not a
+	// failure — the coordinator already held the request open for half a
+	// lease TTL — so the worker re-leases at once.
 	Poll time.Duration
 
 	plans map[string]*core.CampaignPlan // campaign ID -> rebuilt plan
@@ -108,15 +111,19 @@ func (w *Worker) Run(ctx context.Context) error {
 			return err
 		}
 		lease, ok, err := w.lease(ctx)
-		if err != nil || !ok {
-			// No work (or the coordinator is unreachable): back off one
-			// poll interval and ask again.
+		if err != nil {
+			// The coordinator is unreachable or refused the call: back off
+			// one poll interval and ask again.
 			idle.Reset(poll)
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
 			case <-idle.C:
 			}
+			continue
+		}
+		if !ok {
+			// 204 after a full hold: no work yet, ask again at once.
 			continue
 		}
 		if err := w.scanLease(ctx, lease, tracer); err != nil && ctx.Err() != nil {
@@ -226,17 +233,23 @@ func (w *Worker) planFor(ctx context.Context, campaign string, tracer obs.Tracer
 	return p, nil
 }
 
+// lease asks for a shard. ok is false with a nil error on 204: the
+// coordinator held the request its full hold without finding work.
 func (w *Worker) lease(ctx context.Context) (leaseResponse, bool, error) {
 	var out leaseResponse
 	t0 := obs.Now()
 	status, err := w.postJSON(ctx, "/v1/shards/lease", leaseRequest{Worker: w.Name}, &out)
-	if err != nil {
+	switch {
+	case err != nil:
 		return out, false, err
+	case status == http.StatusOK:
+		w.clock.sample(t0+out.HeldNs, obs.Now(), out.NowNs)
+		return out, true, nil
+	case status == http.StatusNoContent:
+		return out, false, nil
+	default:
+		return out, false, fmt.Errorf("fleet: lease: HTTP %d", status)
 	}
-	if status == http.StatusOK {
-		w.clock.sample(t0, obs.Now(), out.NowNs)
-	}
-	return out, status == http.StatusOK, nil
 }
 
 func (w *Worker) heartbeat(ctx context.Context, lease leaseResponse) bool {

@@ -3,12 +3,17 @@ package service
 import (
 	"context"
 	"encoding/hex"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -326,5 +331,97 @@ func TestCoordinatorRoleEndToEnd(t *testing.T) {
 	}
 	if workerSpans == 0 {
 		t.Error("merged trace has no spans on the worker's lane")
+	}
+}
+
+// leaseCounter is a worker transport that counts lease calls and reports
+// each 503 refusal it delivers.
+type leaseCounter struct {
+	calls   atomic.Int64
+	refused chan struct{}
+}
+
+func (lc *leaseCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/v1/shards/lease" {
+		lc.calls.Add(1)
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && resp.StatusCode == http.StatusServiceUnavailable {
+		select {
+		case lc.refused <- struct{}{}:
+		default:
+		}
+	}
+	return resp, err
+}
+
+// TestCoordinatorDrainReleasesHeldLeases: idle fleet workers park their
+// lease requests on the coordinator for half a lease TTL (30 s here).
+// Drain must release them with 503 and refuse later lease calls at once,
+// so the HTTP shutdown that follows returns in well under one hold; and a
+// refused worker must back off rather than re-lease in a loop.
+func TestCoordinatorDrainReleasesHeldLeases(t *testing.T) {
+	svc, err := New(Config{Workers: 1, Role: RoleCoordinator, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: svc.Handler()}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	base := "http://" + ln.Addr().String()
+
+	lc := &leaseCounter{refused: make(chan struct{}, 2)}
+	wctx, stopWorkers := context.WithCancel(context.Background())
+	var workers sync.WaitGroup
+	for _, name := range []string{"w1", "w2"} {
+		workers.Add(1)
+		go func(name string) {
+			defer workers.Done()
+			w := &fleet.Worker{Base: base, Name: name, Client: &http.Client{Transport: lc}, Poll: time.Hour}
+			w.Run(wctx)
+		}(name)
+	}
+	for svc.Coordinator().Stats().WorkersAlive < 2 {
+		runtime.Gosched()
+	}
+
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := svc.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-lc.refused:
+		case <-ctx.Done():
+			t.Fatal("held lease requests not released by Drain")
+		}
+	}
+	resp, err := http.Post(base+"/v1/shards/lease", "application/json", strings.NewReader(`{"worker":"late"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("lease after drain: HTTP %d, want 503", resp.StatusCode)
+	}
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown waited on held leases: %v", err)
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("drain + shutdown took %v with idle workers attached", el)
+	}
+	if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("serve: %v", err)
+	}
+	stopWorkers()
+	workers.Wait()
+	if n := lc.calls.Load(); n != 2 {
+		t.Fatalf("workers made %d lease calls, want one each: a refused worker must back off", n)
 	}
 }

@@ -250,10 +250,15 @@ func (s *Server) traceRoot(id string) uint64 {
 
 // Drain gracefully shuts the worker pool down: running jobs finish, queued
 // jobs are journaled as abandoned (requeued on the next boot) and counted
-// in Stats.Abandoned, new submissions get 503. The write-ahead log is
-// closed once the pool is quiet.
+// in Stats.Abandoned, new submissions get 503. Once the pool is quiet the
+// fleet coordinator (if any) closes — held lease requests are released,
+// so an HTTP server shutdown that follows never waits out a lease hold —
+// and the write-ahead log is closed.
 func (s *Server) Drain(ctx context.Context) error {
 	err := s.pool.Drain(ctx)
+	if s.coord != nil {
+		s.coord.Close()
+	}
 	if s.store != nil {
 		if cerr := s.store.Close(); err == nil {
 			err = cerr
